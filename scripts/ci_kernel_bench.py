@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""CI gate: the vector extension kernel must stay fast and exact.
+"""CI gate: the step-2 and step-3 extension kernels must stay fast and exact.
 
-Runs the single-core scalar-vs-vector cell of the step-2 extension
+Step 2: runs the single-core scalar-vs-vector cell of the extension
 kernel (``measure_kernel_cell`` from the parallel-scaling benchmark) on
 the quick-scale skewed pair, and fails when
 
@@ -10,7 +10,17 @@ the quick-scale skewed pair, and fails when
 * the vector kernel's best-of-N time is less than ``MIN_KERNEL_SPEEDUP``
   (3x) faster than the scalar kernel's.
 
-The identity check runs *before* any timing number is trusted, so a
+Step 3: runs the gapped extensions of the quick EST pair (EST1 x EST2 at
+the benches' quick scale: every HSP middle extended left and right, as
+step 3 does) through the NumPy and the native C kernel, and fails when
+
+* the native kernel did not load (no compiler, or a failed build), or
+* the two kernels disagree on any lane (any result field, or the
+  lane-row count), or
+* the native kernel's best-of-N time is less than
+  ``MIN_GAPPED_SPEEDUP`` (5x) faster than the NumPy kernel's.
+
+The identity checks run *before* any timing number is trusted, so a
 kernel that got fast by getting wrong cannot pass.  Timing uses
 best-of-``--repeat`` to shrug off CI neighbour noise.
 
@@ -22,16 +32,76 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
+from _shared import QUICK_SCALE  # noqa: E402
 from bench_parallel_scaling import (  # noqa: E402
     MIN_KERNEL_SPEEDUP,
     make_skewed_pair,
     measure_kernel_cell,
     skewed_params,
 )
+
+from repro.align import gapped_native  # noqa: E402
+from repro.align.evalue import karlin_params  # noqa: E402
+from repro.align.gapped import batch_gapped_extend  # noqa: E402
+from repro.core import OrisEngine, OrisParams  # noqa: E402
+from repro.core.engine import WorkCounters  # noqa: E402
+from repro.data import load_bank  # noqa: E402
+
+#: The native step-3 kernel must beat the NumPy one by this factor.
+MIN_GAPPED_SPEEDUP = 5.0
+
+GAPPED_FIELDS = (
+    "score", "consumed1", "consumed2", "matches", "mismatches",
+    "gap_columns", "gap_openings", "min_dd", "max_dd", "steps",
+)
+
+
+def measure_gapped_cell(repeat: int) -> dict:
+    """NumPy vs native step-3 kernel on the quick EST pair's extensions."""
+    params = OrisParams()
+    bank1, bank2 = load_bank("EST1", QUICK_SCALE), load_bank("EST2", QUICK_SCALE)
+    engine = OrisEngine(params)
+    index1, index2 = engine._build_indexes(bank1, bank2)
+    threshold = engine._resolve_hsp_min_score(bank1, bank2, karlin_params(params.scoring))
+    table = engine._ungapped_stage(index1, index2, threshold, WorkCounters())
+    s1, e1, s2, _, _ = table.sorted_by_diagonal()
+    mid1 = (s1 + e1) // 2
+    mid2 = s2 + (mid1 - s1)
+    k = mid1.shape[0]
+    lanes = (
+        bank1.seq, bank2.seq, np.concatenate((mid1, mid1)), np.concatenate((mid2, mid2)),
+        np.repeat(np.array([-1, 1], np.int64), k), params.scoring, params.band_radius,
+    )
+    cell = {"lanes": 2 * k, "loaded": gapped_native.load() is not None}
+    if not cell["loaded"]:
+        return cell
+    results, seconds = {}, {}
+    for native in (False, True):
+        results[native] = batch_gapped_extend(*lanes, native=native)
+    cell["identical"] = all(
+        np.array_equal(getattr(results[False], f), getattr(results[True], f))
+        for f in GAPPED_FIELDS
+    )
+    cell["lane_rows"] = results[False].steps
+    if not cell["identical"]:
+        return cell
+    for native in (False, True):
+        best = float("inf")
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            batch_gapped_extend(*lanes, native=native)
+            best = min(best, time.perf_counter() - t0)
+        seconds[native] = best
+    cell["numpy_seconds"], cell["native_seconds"] = seconds[False], seconds[True]
+    cell["speedup"] = seconds[False] / seconds[True]
+    return cell
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -64,6 +134,27 @@ def main(argv: list[str] | None = None) -> int:
             f"vector kernel speedup {cell['speedup']:.2f}x "
             f"below the {MIN_KERNEL_SPEEDUP:.0f}x bar"
         )
+
+    gapped = measure_gapped_cell(args.repeat)
+    if not gapped["loaded"]:
+        failures.append(
+            "native gapped kernel did not load (no C compiler or a failed build)"
+        )
+    elif not gapped["identical"]:
+        failures.append("gapped kernel outputs differ: native != NumPy lane-for-lane")
+    else:
+        print(
+            f"step-3 kernel cell over {gapped['lanes']:,} lanes "
+            f"({gapped['lane_rows']:,} lane-rows): "
+            f"NumPy {gapped['numpy_seconds'] * 1e3:.1f} ms, "
+            f"native {gapped['native_seconds'] * 1e3:.1f} ms "
+            f"=> {gapped['speedup']:.1f}x (bar {MIN_GAPPED_SPEEDUP:.0f}x)"
+        )
+        if gapped["speedup"] < MIN_GAPPED_SPEEDUP:
+            failures.append(
+                f"native gapped kernel speedup {gapped['speedup']:.2f}x "
+                f"below the {MIN_GAPPED_SPEEDUP:.0f}x bar"
+            )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..encoding import INVALID
+from . import gapped_native
 from .scoring import ScoringScheme
 
 __all__ = [
@@ -241,6 +242,7 @@ def batch_gapped_extend(
     scoring: ScoringScheme,
     band_radius: int = DEFAULT_BAND_RADIUS,
     max_rows: int = 1 << 20,
+    native: bool | None = None,
 ) -> BatchGappedResult:
     """Lane-parallel banded x-drop gapped extension.
 
@@ -249,8 +251,14 @@ def batch_gapped_extend(
     scalar (+1/-1) or a per-lane array, so left and right extensions of a
     wave of HSPs run as one batch.
 
-    Implementation notes (the kernel is memory-bandwidth bound, so the hot
-    loop is written to minimise full-band passes):
+    The DP loop runs in the native C kernel of
+    :mod:`repro.align.gapped_native` when it is available (``native=None``,
+    the default) and in the NumPy kernel below otherwise; the two are
+    exact twins, down to the ``steps`` count.  ``native=True`` requires the
+    C kernel (``RuntimeError`` without it), ``native=False`` forces NumPy.
+
+    NumPy kernel notes (it is memory-bandwidth bound, so the hot loop is
+    written to minimise full-band passes):
 
     * all band state is int32; column gather indices advance by one
       in-place add per row;
@@ -275,14 +283,11 @@ def batch_gapped_extend(
     dirs = np.broadcast_to(np.asarray(direction, dtype=np.int64), (n,)).copy()
     if not np.isin(dirs, (-1, 1)).all():
         raise ValueError("direction must be +1 or -1 (scalar or per lane)")
-    match = np.int32(scoring.match)
-    mismatch = np.int32(scoring.mismatch)
-    gap = np.int32(_linear_gap(scoring))
-    xdrop = np.int32(scoring.xdrop_gapped)
+    if band_radius < 0:
+        raise ValueError("band_radius must be non-negative")
+    match, mismatch = scoring.match, scoring.mismatch
+    gap, xdrop = _linear_gap(scoring), scoring.xdrop_gapped
     R = band_radius
-    width = 2 * R + 1
-    NEG = np.int32(_NEG32)
-    BIGPEN = np.int32(1 << 20)
 
     # Outputs (empty-extension defaults).
     out = BatchGappedResult(
@@ -299,6 +304,55 @@ def batch_gapped_extend(
     )
     if n == 0:
         return out
+
+    kernel = gapped_native.load() if native is not False else None
+    if native and kernel is None:
+        raise RuntimeError("the native gapped kernel is not available")
+    args = (seq1, seq2, p1, p2, dirs, match, mismatch, gap, xdrop, R, max_rows)
+    if kernel is not None:
+        best_score, best_i, best_k, best_ann, steps = gapped_native.extend_lanes(
+            kernel, *args
+        )
+    else:
+        best_score, best_i, best_k, best_ann, steps = _numpy_lanes(*args)
+
+    # Fill outputs from best-cell snapshots.  Matches/mismatches are
+    # recovered from the identities (over the best path):
+    #     consumed1 = m + x + gc_up          consumed2 = m + x + gc_left
+    #     gc = gc_up + gc_left               score = match*m - mismatch*x
+    #                                                - gap*gc
+    # which give gc_up = (gc + consumed1 - consumed2) / 2 (exact integers),
+    # m + x = consumed1 - gc_up, and then m from the score equation.
+    has = best_i >= 0
+    out.score[:] = best_score.astype(np.int64)
+    out.consumed1[has] = best_i[has] + 1
+    out.consumed2[has] = best_i[has] + best_k[has] - R + 1
+    gc = best_ann[has, 0]
+    gc_up = (gc + out.consumed1[has] - out.consumed2[has]) // 2
+    aligned = out.consumed1[has] - gc_up  # m + x
+    m = (out.score[has] + gap * gc + mismatch * aligned) // (match + mismatch)
+    out.matches[has] = m
+    out.mismatches[has] = aligned - m
+    out.gap_columns[has] = gc
+    out.gap_openings[has] = best_ann[has, 1]
+    out.min_dd[has] = best_ann[has, 2] - R
+    out.max_dd[has] = best_ann[has, 3] - R
+    out.steps = steps
+    return out
+
+
+def _numpy_lanes(seq1, seq2, p1, p2, dirs, match, mismatch, gap, xdrop, R, max_rows):
+    """NumPy DP loop of :func:`batch_gapped_extend`: best score, row, band
+    column and annotations (gap columns, gap openings, min/max column) of
+    every lane, plus the lane-row count."""
+    n = p1.shape[0]
+    match = np.int32(match)
+    mismatch = np.int32(mismatch)
+    gap = np.int32(gap)
+    xdrop = np.int32(xdrop)
+    width = 2 * R + 1
+    NEG = np.int32(_NEG32)
+    BIGPEN = np.int32(1 << 20)
 
     # Substitution table over character pairs (index = c1 << 3 | c2): the
     # match/mismatch score, or -BIGPEN when either character is invalid.
@@ -458,28 +512,4 @@ def batch_gapped_extend(
         j2 += adir[:, None]
         i += 1
 
-    # Fill outputs from best-cell snapshots.  Matches/mismatches are
-    # recovered from the identities (over the best path):
-    #     consumed1 = m + x + gc_up          consumed2 = m + x + gc_left
-    #     gc = gc_up + gc_left               score = match*m - mismatch*x
-    #                                                - gap*gc
-    # which give gc_up = (gc + consumed1 - consumed2) / 2 (exact integers),
-    # m + x = consumed1 - gc_up, and then m from the score equation.
-    has = best_i >= 0
-    out.score[:] = best_score.astype(np.int64)
-    out.consumed1[has] = best_i[has] + 1
-    out.consumed2[has] = best_i[has] + best_k[has] - R + 1
-    gc = best_ann[has, 0]
-    gc_up = (gc + out.consumed1[has] - out.consumed2[has]) // 2
-    aligned = out.consumed1[has] - gc_up  # m + x
-    m = (out.score[has] + int(gap) * gc + int(mismatch) * aligned) // (
-        int(match) + int(mismatch)
-    )
-    out.matches[has] = m
-    out.mismatches[has] = aligned - m
-    out.gap_columns[has] = gc
-    out.gap_openings[has] = best_ann[has, 1]
-    out.min_dd[has] = best_ann[has, 2] - R
-    out.max_dd[has] = best_ann[has, 3] - R
-    out.steps = steps
-    return out
+    return best_score, best_i, best_k, best_ann, steps

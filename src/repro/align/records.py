@@ -63,25 +63,31 @@ def alignments_to_m8(
     """
     if subject_lengths is not None and minus_strand:
         raise ValueError("subject_lengths overrides are plus-strand only")
+    alignments = list(alignments)
+    if not alignments:
+        return []
     m = bank1.size_nt
+    # One vectorised coordinate lookup per bank (raises ValueError on a
+    # position outside every sequence).
+    q_seq, q_loc = bank1.locate_many([a.start1 for a in alignments])
+    s_seq, s_loc = bank2.locate_many([a.start2 for a in alignments])
+    lengths = bank2.lengths if subject_lengths is None else subject_lengths
+    located = zip(
+        q_seq.tolist(), q_loc.tolist(), s_seq.tolist(), s_loc.tolist(),
+        np.asarray(lengths, dtype=np.int64)[s_seq].tolist(),
+    )
     out: list[M8Record] = []
-    for aln in alignments:
-        q_idx, q_local = bank1.locate(aln.start1)
-        s_idx, s_local = bank2.locate(aln.start2)
+    for aln, (q_idx, q_local, s_idx, s_local, n) in zip(alignments, located):
         if (
             exclude_self
             and not minus_strand
             and bank1.names[q_idx] == bank2.names[s_idx]
-            and aln.start1 - bank1.starts[q_idx] == aln.start2 - bank2.starts[s_idx]
+            and q_local == s_local
             and aln.end1 - aln.start1 == aln.end2 - aln.start2
         ):
             continue
         q_len1 = aln.end1 - aln.start1
         s_len2 = aln.end2 - aln.start2
-        if subject_lengths is not None:
-            n = int(subject_lengths[s_idx])
-        else:
-            n = bank2.sequence_length(s_idx)
         evalue = stats.evalue(aln.score, m, n)
         if max_evalue is not None and evalue > max_evalue:
             continue

@@ -1229,6 +1229,11 @@ def _write_serve_metrics(path: str, registry) -> None:
         fh.write("\n")
 
 
+def _kernel_name(native_gauge: float) -> str:
+    """The ``step3.native_kernel`` gauge as the name of the kernel that ran."""
+    return "native" if native_gauge else "numpy (no native kernel)"
+
+
 def _print_serve_stats(registry) -> None:
     """Service roll-up on stderr after a drain (mirrors --stats)."""
     snapshot = registry.as_dict()
@@ -1240,6 +1245,12 @@ def _print_serve_stats(registry) -> None:
         pairs = " ".join(f"{k.split('.')[-1]}={v}" for k, v in served.items()
                          if k.startswith("serve.") or k.startswith("index."))
         print(f"# serve counters: {pairs}", file=sys.stderr)
+    if "step3.native_kernel" in gauges:
+        print(
+            f"# step3 kernel: "
+            f"{_kernel_name(gauges['step3.native_kernel']['value'])}",
+            file=sys.stderr,
+        )
     if "serve.queue_depth" in gauges:
         print(
             f"# serve queue depth (last): {gauges['serve.queue_depth']['value']}",
@@ -1413,6 +1424,9 @@ def _print_stats(args, result, plan, ingest_reports, use_runtime) -> None:
             file=sys.stderr,
         )
     m = result.metrics
+    if "step3.native_kernel" in m:
+        print(f"# step3 kernel: {_kernel_name(m.value('step3.native_kernel'))}",
+              file=sys.stderr)
     if "index.cache_hit" in m or "index.cache_miss" in m:
         print(
             f"# index cache: hits={m.value('index.cache_hit')} "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..align import gapped_native
 from ..align.gapped import BatchGappedResult, batch_gapped_extend
 from ..align.hsp import GappedAlignment, HSPTable
 from ..align.scoring import ScoringScheme
@@ -44,10 +45,13 @@ def run_gapped_stage(
     fields touched here (``n_waves``, ``n_skipped_contained``,
     ``n_gapped_extensions``, ``gapped_steps``); ``registry`` optionally
     collects the same quantities as funnel metrics plus a wave-size
-    histogram.
+    histogram, and the ``step3.native_kernel`` gauge: 1 when the DP ran in
+    the native C kernel, 0 when it fell back to NumPy.  The first call in
+    a process resolves (and, if need be, builds) the native kernel.
     """
     if registry is None:
         registry = MetricsRegistry()
+    registry.set_gauge("step3.native_kernel", float(gapped_native.load() is not None))
     s1, e1, s2, sc, diag = table.sorted_by_diagonal()
     n = s1.shape[0]
     catalog = AlignmentCatalog(band_radius)
@@ -81,7 +85,7 @@ def run_gapped_stage(
         # to "serial", this spends extra extensions on HSPs the serial loop
         # would have skipped (their results are then deduplicated or
         # filtered here), but runs the DP at full lane parallelism.
-        counters.n_waves = 1
+        counters.n_waves += 1
         registry.inc("step3.waves")
         extend(np.arange(n, dtype=np.int64))
         kept = _filter_contained(
@@ -203,30 +207,40 @@ def _extend_wave(
     right = _slice_gapped(both, k, 2 * k)
     counters.gapped_steps += both.steps
     diag_mid = diag[chosen]
+    # Per-alignment fields as Python ints, computed column-wise.
+    score = (left.score + right.score).tolist()
+    start1 = (mid1 - left.consumed1).tolist()
+    end1 = (mid1 + right.consumed1).tolist()
+    start2 = (mid2 - left.consumed2).tolist()
+    end2 = (mid2 + right.consumed2).tolist()
+    matches = (left.matches + right.matches).tolist()
+    mismatches = (left.mismatches + right.mismatches).tolist()
+    gap_columns = (left.gap_columns + right.gap_columns).tolist()
+    gap_openings = (left.gap_openings + right.gap_openings).tolist()
+    min_diag = (
+        diag_mid + np.minimum(np.minimum(right.min_dd, -left.max_dd), 0)
+    ).tolist()
+    max_diag = (
+        diag_mid + np.maximum(np.maximum(right.max_dd, -left.min_dd), 0)
+    ).tolist()
     for i in range(k):
-        score = int(left.score[i] + right.score[i])
-        if min_align_score is not None and score < min_align_score:
+        if min_align_score is not None and score[i] < min_align_score:
             continue
-        a_start1 = int(mid1[i] - left.consumed1[i])
-        a_end1 = int(mid1[i] + right.consumed1[i])
-        a_start2 = int(mid2[i] - left.consumed2[i])
-        a_end2 = int(mid2[i] + right.consumed2[i])
-        if a_end1 <= a_start1 or a_end2 <= a_start2:
+        if end1[i] <= start1[i] or end2[i] <= start2[i]:
             continue  # degenerate (both extensions empty)
-        dm = int(diag_mid[i])
         catalog.add(
             GappedAlignment(
-                start1=a_start1,
-                end1=a_end1,
-                start2=a_start2,
-                end2=a_end2,
-                score=score,
-                matches=int(left.matches[i] + right.matches[i]),
-                mismatches=int(left.mismatches[i] + right.mismatches[i]),
-                gap_columns=int(left.gap_columns[i] + right.gap_columns[i]),
-                gap_openings=int(left.gap_openings[i] + right.gap_openings[i]),
-                min_diag=dm + min(int(right.min_dd[i]), -int(left.max_dd[i]), 0),
-                max_diag=dm + max(int(right.max_dd[i]), -int(left.min_dd[i]), 0),
+                start1=start1[i],
+                end1=end1[i],
+                start2=start2[i],
+                end2=end2[i],
+                score=score[i],
+                matches=matches[i],
+                mismatches=mismatches[i],
+                gap_columns=gap_columns[i],
+                gap_openings=gap_openings[i],
+                min_diag=min_diag[i],
+                max_diag=max_diag[i],
             )
         )
 

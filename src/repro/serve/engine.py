@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..align import gapped_native
 from ..align.evalue import karlin_params
 from ..core.engine import OrisEngine, StepTimings, WorkCounters
 from ..core.parallel import (
@@ -221,6 +222,11 @@ class BatchEngine:
                     bank2, p.w, make_filter_mask(bank2, p.filter_kind)
                 )
         index2.record_metrics(self.registry, "bank2")
+        # Resolve (and if need be build) the native step-3 kernel while
+        # starting, so a first build never lands in a query's latency.
+        self.registry.set_gauge(
+            "step3.native_kernel", float(gapped_native.load() is not None)
+        )
         self.config = RuntimeConfig(
             n_workers=max(n_workers, 1),
             tasks_per_worker=tasks_per_worker,

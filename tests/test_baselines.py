@@ -55,6 +55,23 @@ class TestBlastnBaseline:
         # one batch must be substantially cheaper than per-query batches
         assert t_one < t_many
 
+    def test_scan_rounds_survive_step3(self, est_pair, monkeypatch):
+        """Step 3 adds its wave to the scan rounds already counted."""
+        import repro.baselines.blastn as blastn
+
+        rounds_before_step3 = []
+        real = blastn.run_gapped_stage
+
+        def spy(*args, **kwargs):
+            rounds_before_step3.append(kwargs["counters"].n_waves)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(blastn, "run_gapped_stage", spy)
+        res = BlastnEngine(BlastnParams()).compare(*est_pair)
+        (scan_rounds,) = rounds_before_step3
+        assert scan_rounds >= 1
+        assert res.counters.n_waves == scan_rounds + 1
+
     def test_two_hit_mode_reduces_extensions(self, est_pair):
         one = BlastnEngine(BlastnParams()).compare(*est_pair)
         two = BlastnEngine(BlastnParams(two_hit=True)).compare(*est_pair)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.align import gapped_native
 from repro.align.gapped import (
     batch_gapped_extend,
     gapped_extend_ref,
@@ -12,6 +13,11 @@ from repro.align.gapped import (
 from repro.align.scoring import ScoringScheme
 from repro.data.synthetic import mutate, random_dna
 from repro.io.bank import Bank
+
+
+#: The batch kernel's DP loop implementations every batch test runs
+#: (``native=`` values): NumPy always, the C kernel where it can be built.
+IMPLS = (False, True) if gapped_native.load() is not None else (False,)
 
 
 def banks_for(s1: str, s2: str):
@@ -114,49 +120,59 @@ class TestBatchAgainstScalar:
         p1 = np.array([a[0] for a in anchors])
         p2 = np.array([a[1] for a in anchors])
         dirs = np.array([a[2] for a in anchors])
-        res = batch_gapped_extend(b1.seq, b2.seq, p1, p2, dirs, sc)
-        for i, (q1, q2, d) in enumerate(anchors):
-            ref = gapped_extend_ref(b1.seq, b2.seq, q1, q2, d, sc)
-            assert batch_tuple(res, i) == ref_tuple(ref), (i, q1, q2, d)
+        for native in IMPLS:
+            res = batch_gapped_extend(b1.seq, b2.seq, p1, p2, dirs, sc, native=native)
+            for i, (q1, q2, d) in enumerate(anchors):
+                ref = gapped_extend_ref(b1.seq, b2.seq, q1, q2, d, sc)
+                assert batch_tuple(res, i) == ref_tuple(ref), (native, i, q1, q2, d)
 
     def test_scalar_direction_broadcast(self, rng, scoring):
         core = random_dna(rng, 50)
         b1, b2 = banks_for(core, core)
-        res = batch_gapped_extend(
-            b1.seq, b2.seq, np.array([1, 5]), np.array([1, 5]), +1, scoring
-        )
-        assert res.score.shape == (2,)
+        for native in IMPLS:
+            res = batch_gapped_extend(
+                b1.seq, b2.seq, np.array([1, 5]), np.array([1, 5]), +1, scoring,
+                native=native,
+            )
+            assert res.score.shape == (2,)
 
     def test_empty_batch(self, scoring):
         b1, b2 = banks_for("ACGT", "ACGT")
         z = np.empty(0, dtype=np.int64)
-        res = batch_gapped_extend(b1.seq, b2.seq, z, z, +1, scoring)
-        assert res.score.shape == (0,)
+        for native in IMPLS:
+            res = batch_gapped_extend(b1.seq, b2.seq, z, z, +1, scoring, native=native)
+            assert res.score.shape == (0,)
+            assert res.steps == 0
 
     def test_direction_validation(self, scoring):
         b1, b2 = banks_for("ACGT", "ACGT")
-        with pytest.raises(ValueError):
-            batch_gapped_extend(
-                b1.seq, b2.seq, np.array([1]), np.array([1]), np.array([2]), scoring
-            )
+        for native in IMPLS:
+            with pytest.raises(ValueError):
+                batch_gapped_extend(
+                    b1.seq, b2.seq, np.array([1]), np.array([1]), np.array([2]),
+                    scoring, native=native,
+                )
 
     def test_annotation_identities(self, rng, scoring):
         # matches + mismatches + gap_columns == consumed1 + gap_left etc.
         core = random_dna(rng, 80)
         mut = mutate(rng, core, sub_rate=0.05, indel_rate=0.02)
         b1, b2 = banks_for(core, mut)
-        res = batch_gapped_extend(
-            b1.seq, b2.seq, np.array([1]), np.array([1]), +1, scoring
-        )
-        m, x, gc = int(res.matches[0]), int(res.mismatches[0]), int(res.gap_columns[0])
-        c1, c2 = int(res.consumed1[0]), int(res.consumed2[0])
-        # exact identities: columns consuming seq1 = m + x + gc_up
-        gc_up = (gc + c1 - c2) // 2
-        gc_left = gc - gc_up
-        assert m + x + gc_up == c1
-        assert m + x + gc_left == c2
-        sc = scoring
-        assert sc.match * m - sc.mismatch * x - sc.gap_open * gc == int(res.score[0])
+        for native in IMPLS:
+            res = batch_gapped_extend(
+                b1.seq, b2.seq, np.array([1]), np.array([1]), +1, scoring,
+                native=native,
+            )
+            m, x = int(res.matches[0]), int(res.mismatches[0])
+            gc = int(res.gap_columns[0])
+            c1, c2 = int(res.consumed1[0]), int(res.consumed2[0])
+            # exact identities: columns consuming seq1 = m + x + gc_up
+            gc_up = (gc + c1 - c2) // 2
+            gc_left = gc - gc_up
+            assert m + x + gc_up == c1
+            assert m + x + gc_left == c2
+            sc = scoring
+            assert sc.match * m - sc.mismatch * x - sc.gap_open * gc == int(res.score[0])
 
     def test_band_limit_prevents_large_drift(self, rng):
         # A 40-nt insertion exceeds the default band: the extension must
@@ -165,8 +181,10 @@ class TestBatchAgainstScalar:
         core = random_dna(rng, 60)
         s2 = core[:30] + random_dna(rng, 60) + core[30:]
         b1, b2 = banks_for(core, s2)
-        res = batch_gapped_extend(
-            b1.seq, b2.seq, np.array([1]), np.array([1]), +1, sc, band_radius=8
-        )
-        assert int(res.max_dd[0]) <= 8
-        assert int(res.min_dd[0]) >= -8
+        for native in IMPLS:
+            res = batch_gapped_extend(
+                b1.seq, b2.seq, np.array([1]), np.array([1]), +1, sc, band_radius=8,
+                native=native,
+            )
+            assert int(res.max_dd[0]) <= 8
+            assert int(res.min_dd[0]) >= -8

@@ -166,6 +166,36 @@ class TestRecordsConversion:
         assert rec.s_start == n - 10  # local 10 on rc -> n-10 1-based
         assert rec.s_end == rec.s_start - 9
 
+    def test_invalid_positions_raise(self):
+        on_separator = aln(start1=0, end1=10, start2=11, end2=21, score=10,
+                           matches=10, mismatches=0)
+        with pytest.raises(ValueError):
+            alignments_to_m8([on_separator], self.b1, self.b2, self.ka)
+        past_end = aln(start1=11, end1=21, start2=10_000, end2=10_010, score=10,
+                       matches=10, mismatches=0)
+        with pytest.raises(ValueError):
+            alignments_to_m8([past_end], self.b1, self.b2, self.ka)
+
+    def test_multi_sequence_coordinates(self):
+        b1 = Bank.from_strings([("q0", "ACGT" * 10), ("q1", "ACGT" * 20)])
+        b2 = Bank.from_strings([("s0", "ACGT" * 15), ("s1", "ACGT" * 25)])
+        got = []
+        for qi, si in ((1, 0), (0, 1), (1, 1)):
+            start1 = int(b1.starts[qi]) + 4
+            start2 = int(b2.starts[si]) + 8
+            got.append(aln(start1=start1, end1=start1 + 12, start2=start2,
+                           end2=start2 + 12, score=12, matches=12, mismatches=0))
+        recs = alignments_to_m8(got, b1, b2, self.ka, max_evalue=None)
+        assert [(r.query_id, r.subject_id, r.q_start, r.s_start, r.s_end)
+                for r in recs] == [
+            ("q1", "s0", 5, 9, 20), ("q0", "s1", 5, 9, 20), ("q1", "s1", 5, 9, 20)
+        ]
+        lengths = np.array([1000, 2000])
+        recs_n = alignments_to_m8(got, b1, b2, self.ka, max_evalue=None,
+                                  subject_lengths=lengths)
+        assert recs_n[0].evalue < recs_n[1].evalue  # s0 searched as 1000 nt
+        assert alignments_to_m8([], b1, b2, self.ka) == []
+
     def test_sort_records_keys(self):
         a = aln(score=50, matches=50, mismatches=0, start1=11, end1=61,
                 start2=11, end2=61)
